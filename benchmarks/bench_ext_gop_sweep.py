@@ -40,7 +40,7 @@ def build_report() -> str:
             clip, CodecConfig(gop_size=gop_size, quantizer=8)
         )
         recovery = measure_recovery_fraction(
-            clip, gop_size=gop_size, sensitivity_fraction=0.55
+            clip, bitstream, sensitivity_fraction=0.55
         )
         scenario = calibrate_scenario(
             bitstream,

@@ -15,8 +15,7 @@ Knobs (environment variables):
   (default: cache under ``benchmarks/results/cache``);
 - ``REPRO_CACHE_DIR``      override the cache directory;
 - ``REPRO_CACHE_BACKEND``  cache store: ``dir`` (sharded files, the
-  default), ``sqlite`` (single-file WAL store), or a full
-  ``backend:location`` spec;
+  default) or a full ``dir:PATH`` / ``tcp:HOST:PORT`` spec;
 - ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_MAX_ENTRIES``  size caps for
   the cache (LRU eviction; default: unbounded);
 - ``REPRO_ENGINE_WORKERS`` worker processes for the experiment engine
@@ -144,7 +143,7 @@ def get_framework(motion: str, gop_size: int, device_key: str
         curve, cap=blank_frame_distortion(clip)
     )
     recovery = measure_recovery_fraction(
-        clip, gop_size=gop_size, sensitivity_fraction=sensitivity
+        clip, bitstream, sensitivity_fraction=sensitivity
     )
     baseline = sequence_mse(clip, decode_bitstream(bitstream))
     scenario = calibrate_scenario(

@@ -56,7 +56,7 @@ def advise(motion: str, seed: int) -> None:
         curve, cap=blank_frame_distortion(clip)
     )
     recovery = measure_recovery_fraction(
-        clip, gop_size=30, sensitivity_fraction=sensitivity
+        clip, bitstream, sensitivity_fraction=sensitivity
     )
     baseline = sequence_mse(clip, decode_bitstream(bitstream))
     scenario = calibrate_scenario(

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.distortion import DistortionPolynomial
+from ..video.gop import Bitstream, FrameType
 from ..video.quality import mse
 from ..video.yuv import Frame, Sequence420
 
@@ -87,34 +88,31 @@ def blank_frame_distortion(sequence: Sequence420) -> float:
 
 def measure_recovery_fraction(
     sequence: Sequence420,
+    bitstream: Bitstream,
     *,
-    gop_size: int = 30,
-    quantizer: int = 8,
     sensitivity_fraction: float = 0.75,
 ) -> float:
     """Calibrate the best-effort recovery fraction of the motion class.
 
     Offline experiment (same spirit as the paper's Fig. 2 calibration):
-    encode the clip, make every I-frame packet unusable, best-effort
-    decode, and measure how much of the worst-case (blank-reference)
-    distortion survives in the frames the decoder still reconstructs.
-    Slow-motion P-frames carry almost no standalone information, so nearly
-    all of the error survives (fraction ~1); fast-motion P-frames are
-    largely intra-coded and recover the picture (fraction ~0).
+    take the clip's ``bitstream`` (the one the caller prices, with its
+    own GOP layout and quantizer), make every I-frame packet unusable,
+    best-effort decode, and measure how much of the worst-case
+    (blank-reference) distortion survives in the frames the decoder
+    still reconstructs.  Slow-motion P-frames carry almost no standalone
+    information, so nearly all of the error survives (fraction ~1);
+    fast-motion P-frames are largely intra-coded and recover the picture
+    (fraction ~0).
     """
     # Imported here to keep the module importable without the codec stack
     # when only the polynomial fit is needed.
-    from ..video.codec import CodecConfig, encode_sequence
     from ..video.concealment import conceal_decode
-    from ..video.gop import FrameType
     from ..video.packetizer import frames_decodable, packetize
 
-    config = CodecConfig(gop_size=gop_size, quantizer=quantizer)
-    bitstream = encode_sequence(sequence, config)
     packets = packetize(bitstream)
     usable = [packet.frame_type is not FrameType.I for packet in packets]
     decodable = frames_decodable(packets, usable, sensitivity_fraction)
-    result = conceal_decode(bitstream, decodable, config, mode="best_effort")
+    result = conceal_decode(bitstream, decodable, mode="best_effort")
 
     lumas = sequence.luma_stack().astype(np.float64)
     errors = []

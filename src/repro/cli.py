@@ -330,9 +330,10 @@ def cmd_mobility(args) -> int:
 
 
 def _open_cache(spec_or_dir: str, **kwargs) -> ResultCache:
-    """Open a cache from a directory, a ``backend:location`` spec, or —
-    for bare directories — the ``REPRO_CACHE_BACKEND`` environment
-    override (so CI can flip every tool to sqlite with one variable)."""
+    """Open a cache from a directory or a ``dir:PATH`` / ``tcp:HOST:PORT``
+    spec; a bare directory honours the ``REPRO_CACHE_BACKEND``
+    environment override (so one variable points every tool at a shared
+    store)."""
     if isinstance(spec_or_dir, str) and ":" in spec_or_dir.split(os.sep)[0]:
         return ResultCache(spec_or_dir, **kwargs)
     return ResultCache(backend=backend_from_env(spec_or_dir), **kwargs)
@@ -347,7 +348,7 @@ def cmd_cache(args) -> int:
             rows = [[name, str(stats[name])] for name in (
                 "backend", "index_backend", "entries", "total_bytes",
                 "hits", "misses", "hit_rate", "evictions", "corrupt",
-                "migrated", "max_bytes", "max_entries",
+                "max_bytes", "max_entries",
             )]
             print(render_table(["statistic", "value"], rows,
                                title=f"result cache at {args.dir}"))
@@ -703,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir",
         default=os.environ.get("REPRO_CACHE_DIR",
                                "benchmarks/results/cache"),
-        help="cache directory or backend spec like sqlite:PATH /"
-             " dir:PATH (default: $REPRO_CACHE_DIR or"
+        help="cache directory or backend spec like dir:PATH /"
+             " tcp:HOST:PORT (default: $REPRO_CACHE_DIR or"
              " benchmarks/results/cache; bare directories honour"
              " $REPRO_CACHE_BACKEND)",
     )
@@ -883,8 +884,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=os.environ.get("REPRO_CACHE_DIR",
                                "benchmarks/results/cache"),
-        help="memo cache directory or backend spec (default:"
-             " $REPRO_CACHE_DIR or benchmarks/results/cache)")
+        help="memo cache directory or backend spec like dir:PATH /"
+             " tcp:HOST:PORT (default: $REPRO_CACHE_DIR or"
+             " benchmarks/results/cache)")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default loopback)")
     p_serve.add_argument("--port", type=int, default=0,

@@ -5,13 +5,11 @@ end-to-end experiment runner."""
 
 from .backends import (
     CacheBackend,
-    SqliteBackend,
     backend_from_env,
     parse_backend_spec,
 )
 from .cache import (
     DirectoryBackend,
-    JsonlIndexBackend,
     ResultCache,
     RunMetrics,
     SqliteIndexBackend,
@@ -90,7 +88,7 @@ __all__ = [
     "CellSummary", "ExperimentEngine", "GridCell",
     "describe_config", "scenario_fingerprint",
     "ResultCache", "RunMetrics", "code_fingerprint", "stable_key",
-    "DirectoryBackend", "SqliteIndexBackend", "JsonlIndexBackend",
+    "DirectoryBackend", "SqliteIndexBackend",
     "LinkConfig", "PacketService", "SenderSimulator", "SimulationRun",
     "EventKernel", "Request", "Resource", "Timeout", "WaitUntil",
     "ContentionMAC", "FlowProcess", "MULTIFLOW_ENGINES", "MultiFlowRun",
@@ -98,7 +96,7 @@ __all__ = [
     "PacketTrace", "TraceLog",
     "HTTP_TCP", "UDP_RTP", "TransportConfig", "delivery_outcome",
     "delivery_outcome_with",
-    "CacheBackend", "SqliteBackend", "backend_from_env",
+    "CacheBackend", "backend_from_env",
     "parse_backend_spec", "FileLock", "LockTimeout",
     "config_from_description",
     "QueueTask", "WorkQueue", "WorkerReport", "run_worker",

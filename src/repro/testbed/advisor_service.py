@@ -345,8 +345,7 @@ def build_scenario(request: ServiceRequest) -> Scenario:
     polynomial = fit_distortion_polynomial(
         curve, cap=blank_frame_distortion(clip))
     recovery = measure_recovery_fraction(
-        clip, gop_size=bitstream.gop_layout.gop_size,
-        sensitivity_fraction=sensitivity)
+        clip, bitstream, sensitivity_fraction=sensitivity)
     baseline = sequence_mse(clip, decode_bitstream(bitstream))
     dcf_params = DcfParameters(n_stations=request.flows)
     gap_fraction = 0.0
@@ -409,7 +408,7 @@ def advisor_fingerprint() -> str:
     from ..mobility import trace as mobility_trace
     from ..video import codec, concealment, gop, motion, quality, synth, yuv
     from ..wifi import dcf, phy
-    from . import devices
+    from . import advisor_service, devices
 
     modules = (advisor, adaptive, calibration, delay, distortion,
                frame_success, mmpp, policies, queueing, scenario, service,
@@ -417,7 +416,7 @@ def advisor_fingerprint() -> str:
                concealment, gop,
                motion, quality, synth, yuv, dcf, phy, devices,
                mobility_trace, mobility_field, mobility_selection,
-               mobility_scenario)
+               mobility_scenario, advisor_service)
     digest = hashlib.sha256()
     for module in modules:
         digest.update(Path(module.__file__).read_bytes())
@@ -452,16 +451,11 @@ class AdvisorMemo:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The memoized choice payload, or ``None``.  Anything that is
         not a well-formed advisor entry (foreign schema, hand-edited
-        file, truncated write) is a miss, never an exception."""
-        data = self.cache.backend.read(key)
-        if data is None:
-            self.misses += 1
-            return None
-        try:
-            payload = json.loads(data.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self.misses += 1
-            return None
+        file, truncated write) is a miss, never an exception.
+
+        The read goes through :meth:`ResultCache.get`, so a hit refreshes
+        the entry's LRU stamp and an undecodable entry is quarantined."""
+        payload = self.cache.get(key)
         meta = payload.get("meta") if isinstance(payload, dict) else None
         if (not isinstance(meta, dict)
                 or meta.get("service") != "advisor"

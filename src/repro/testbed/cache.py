@@ -12,15 +12,14 @@ summary byte-for-byte, because the same floats feed the same
 
 Layout.  Entries are sharded by key prefix — the entry for key
 ``abcd…`` lives at ``<dir>/ab/abcd….json`` — so no single directory ever
-holds the whole grid.  A persistent index (:class:`SqliteIndexBackend`
-by default, :class:`JsonlIndexBackend` where the ``sqlite3`` module is
-unavailable) records key, byte size, and created/last-accessed
-timestamps, so ``__len__``, :meth:`ResultCache.stats` and LRU eviction
-never walk the directory tree.  The index is *derived* data: it is
-rebuilt from the shard files whenever it is missing or disagrees with
-them, and is never trusted over the files themselves, so deleting
-``index.sqlite``/``index.jsonl`` (or the whole cache directory) is
-always safe.
+holds the whole grid.  A persistent sqlite index
+(:class:`SqliteIndexBackend`) records key, byte size, and
+created/last-accessed timestamps, so ``__len__``,
+:meth:`ResultCache.stats` and LRU eviction never walk the directory
+tree.  The index is *derived* data: it is rebuilt from the shard files
+whenever it is missing or blank, a corrupt one is deleted and recreated,
+and it is never trusted over the files themselves, so deleting
+``index.sqlite`` (or the whole cache directory) is always safe.
 
 Writes stay atomic (tempfile + rename within the shard), so concurrent
 bench processes sharing a cache directory can only ever observe complete
@@ -35,16 +34,13 @@ crashing the engine.
 Keys are SHA-256 digests of a canonical JSON payload that includes a
 fingerprint of the simulation source code, so editing the simulator,
 transport, energy, video-quality or policy code automatically invalidates
-stale entries.  A legacy flat-layout directory (one ``<key>.json`` per
-entry at the top level, the pre-sharding format) is adopted into shards
-the first time it is opened.
+stale entries.
 
 Storage is pluggable (:mod:`repro.testbed.backends`): the sharded
-directory tree above is the default :class:`DirectoryBackend`; pass a
-``sqlite:PATH`` spec (or set ``REPRO_CACHE_BACKEND``) for the
-single-file WAL-mode :class:`SqliteBackend` that N worker processes can
-share over one filesystem mount.  Maintenance operations (index
-rebuild, legacy migration, ``gc``, ``verify``) are serialised across
+directory tree above is the default :class:`DirectoryBackend`; a
+``tcp:HOST:PORT`` spec (or ``REPRO_CACHE_BACKEND``) proxies the store
+and its index to a ``repro cached serve`` endpoint.  Maintenance
+operations (index rebuild, ``gc``, ``verify``) are serialised across
 processes by a coarse :class:`~repro.testbed.locks.FileLock` with
 stale-lock breaking, so concurrent maintainers no longer race.
 """
@@ -54,26 +50,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import sqlite3
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-try:
-    import sqlite3
-except ImportError:  # pragma: no cover - stdlib sqlite3 is near-universal
-    sqlite3 = None  # type: ignore[assignment]
-
 from .backends import (
     QUARANTINE_DIR,
-    SQLITE_AVAILABLE,
-    TMP_PREFIX,
     CacheBackend,
     DirectoryBackend,
     IndexEntry,
-    SqliteBackend,
     backend_from_env,
     parse_backend_spec,
 )
@@ -81,10 +69,8 @@ from .locks import FileLock
 
 __all__ = [
     "ResultCache", "RunMetrics", "stable_key", "code_fingerprint",
-    "CacheBackend", "DirectoryBackend", "SqliteBackend",
-    "SqliteIndexBackend", "JsonlIndexBackend",
-    "IndexEntry", "SQLITE_AVAILABLE",
-    "backend_from_env", "parse_backend_spec",
+    "CacheBackend", "DirectoryBackend", "SqliteIndexBackend",
+    "IndexEntry", "backend_from_env", "parse_backend_spec",
 ]
 
 
@@ -174,7 +160,7 @@ def code_fingerprint() -> str:
     return digest.hexdigest()
 
 
-# -- index backends ------------------------------------------------------------
+# -- the index -----------------------------------------------------------------
 
 
 class SqliteIndexBackend:
@@ -188,8 +174,6 @@ class SqliteIndexBackend:
     name = "sqlite"
 
     def __init__(self, path) -> None:
-        if sqlite3 is None:  # pragma: no cover - guarded by the caller
-            raise RuntimeError("sqlite3 is not available")
         self.path = Path(path)
         self._conn = sqlite3.connect(str(self.path))
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -259,124 +243,6 @@ class SqliteIndexBackend:
         self._conn.close()
 
 
-class JsonlIndexBackend:
-    """Append-only JSON-lines index for platforms without ``sqlite3``.
-
-    State lives in memory; every mutation appends one op record
-    (``put``/``touch``/``del``) so a crash at worst leaves a torn final
-    line, which the loader skips.  The log is compacted to one ``put``
-    per live entry when it grows past ~2x the entry count.
-    """
-
-    name = "jsonl"
-    _COMPACT_SLACK = 256
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._entries: Dict[str, IndexEntry] = {}
-        self._ops = 0
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn append from a crashed writer
-            if not isinstance(record, dict):
-                continue
-            key = record.get("key")
-            if not isinstance(key, str):
-                continue
-            op = record.get("op")
-            try:
-                if op == "put":
-                    self._entries[key] = IndexEntry(
-                        key, int(record["size"]),
-                        float(record["created"]), float(record["accessed"]),
-                    )
-                elif op == "touch":
-                    entry = self._entries.get(key)
-                    if entry is not None:
-                        entry.size = int(record["size"])
-                        entry.accessed = float(record["accessed"])
-                elif op == "del":
-                    self._entries.pop(key, None)
-            except (KeyError, TypeError, ValueError):
-                continue
-            self._ops += 1
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(record) + "\n")
-        self._ops += 1
-        if self._ops > 2 * len(self._entries) + self._COMPACT_SLACK:
-            self._compact()
-
-    def _compact(self) -> None:
-        fd, temp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=TMP_PREFIX, suffix=".jsonl"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                for entry in self._entries.values():
-                    handle.write(json.dumps({
-                        "op": "put", "key": entry.key, "size": entry.size,
-                        "created": entry.created, "accessed": entry.accessed,
-                    }) + "\n")
-            os.replace(temp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        self._ops = len(self._entries)
-
-    def upsert(self, entry: IndexEntry) -> None:
-        self._entries[entry.key] = entry
-        self._append({"op": "put", "key": entry.key, "size": entry.size,
-                      "created": entry.created, "accessed": entry.accessed})
-
-    def touch(self, key: str, size: int, accessed: float) -> None:
-        entry = self._entries.get(key)
-        if entry is None:  # untracked file observed: self-heal
-            self.upsert(IndexEntry(key, size, accessed, accessed))
-            return
-        entry.size = size
-        entry.accessed = accessed
-        self._append({"op": "touch", "key": key, "size": size,
-                      "accessed": accessed})
-
-    def remove(self, key: str) -> None:
-        if self._entries.pop(key, None) is not None:
-            self._append({"op": "del", "key": key})
-
-    def count(self) -> int:
-        return len(self._entries)
-
-    def total_bytes(self) -> int:
-        return sum(entry.size for entry in self._entries.values())
-
-    def entries(self) -> List[IndexEntry]:
-        return sorted(self._entries.values(), key=lambda e: e.key)
-
-    def lru(self) -> List[IndexEntry]:
-        return sorted(self._entries.values(),
-                      key=lambda e: (e.accessed, e.created, e.key))
-
-    def replace_all(self, entries: List[IndexEntry]) -> None:
-        self._entries = {entry.key: entry for entry in entries}
-        self._compact()
-
-    def close(self) -> None:
-        pass
-
-
 # -- the cache -----------------------------------------------------------------
 
 
@@ -387,17 +253,11 @@ class ResultCache:
     ----------
     directory:
         Cache root (a path), or a URL-style backend spec such as
-        ``sqlite:/mnt/shared/grid.sqlite`` — see
-        :func:`repro.testbed.backends.parse_backend_spec`.  A legacy
-        flat-layout directory is migrated into shards on first open.
+        ``tcp:HOST:PORT`` — see
+        :func:`repro.testbed.backends.parse_backend_spec`.
     max_bytes, max_entries:
         Optional caps; least-recently-accessed entries are evicted on
         :meth:`put_runs` and :meth:`gc` until both hold.
-    index:
-        ``"auto"`` (sqlite when available, else JSON-lines), or force
-        ``"sqlite"`` / ``"jsonl"``.  Ignored for ``index_capable``
-        backends (the sqlite store indexes itself); forcing a kind there
-        is an error.
     stale_tmp_seconds:
         Age after which :meth:`gc` deletes orphaned ``.tmp-*`` files left
         by crashed writers (``clear`` removes them regardless of age).
@@ -410,7 +270,7 @@ class ResultCache:
     MAINTENANCE_LOCK_STALE_S = 120.0
 
     def __init__(self, directory=None, *, max_bytes: Optional[int] = None,
-                 max_entries: Optional[int] = None, index: str = "auto",
+                 max_entries: Optional[int] = None,
                  stale_tmp_seconds: float = 3600.0,
                  backend: Optional[CacheBackend] = None) -> None:
         if max_bytes is not None and max_bytes < 1:
@@ -418,12 +278,6 @@ class ResultCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError(
                 f"max_entries must be >= 1 or None, got {max_entries}")
-        if index not in ("auto", "sqlite", "jsonl"):
-            raise ValueError(
-                f"index must be 'auto', 'sqlite' or 'jsonl', got {index!r}")
-        if index == "sqlite" and not SQLITE_AVAILABLE:
-            raise ValueError("index='sqlite' requested but the sqlite3"
-                             " module is unavailable; use 'jsonl'")
         if backend is None:
             if directory is None:
                 raise ValueError("ResultCache needs a directory, a backend"
@@ -432,11 +286,6 @@ class ResultCache:
                 backend = parse_backend_spec(directory)
             else:
                 backend = DirectoryBackend(directory)
-        if backend.index_capable and index != "auto":
-            raise ValueError(
-                f"backend {backend.name!r} carries its own index; the"
-                f" index={index!r} override does not apply"
-            )
         self.backend = backend
         self.directory = backend.root
         self.max_bytes = max_bytes
@@ -446,8 +295,6 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.corrupt = 0
-        self.migrated = 0
-        self._index_kind = index
         self._index = None
 
     @classmethod
@@ -457,7 +304,7 @@ class ResultCache:
 
     def _maintenance_lock(self) -> FileLock:
         """The coarse cross-process lock serialising maintenance walks
-        (rebuild, migration, gc, verify) — see the module docstring."""
+        (rebuild, gc, verify) — see the module docstring."""
         return FileLock(self.backend.lock_path,
                         stale_seconds=self.MAINTENANCE_LOCK_STALE_S)
 
@@ -465,25 +312,19 @@ class ResultCache:
 
     def _open_index(self):
         if self.backend.index_capable:
-            return self.backend  # single-file stores index themselves
-        kind = self._index_kind
-        if kind == "auto":
-            kind = "sqlite" if SQLITE_AVAILABLE else "jsonl"
-        if kind == "sqlite":
-            path = self.directory / "index.sqlite"
-            for attempt in (0, 1):
+            return self.backend  # remote stores answer index queries
+        path = self.directory / "index.sqlite"
+        try:
+            return SqliteIndexBackend(path)
+        except sqlite3.Error:
+            # A corrupt index is just derived data: delete it and retry
+            # once (a second failure is not corruption, so it raises).
+            for suffix in ("", "-wal", "-shm"):
                 try:
-                    return SqliteIndexBackend(path)
-                except sqlite3.Error:
-                    # A corrupt index is just derived data: delete and
-                    # retry once, then fall back to the JSON-lines log.
-                    if attempt == 0:
-                        for suffix in ("", "-wal", "-shm"):
-                            try:
-                                os.unlink(f"{path}{suffix}")
-                            except OSError:
-                                pass
-        return JsonlIndexBackend(self.directory / "index.jsonl")
+                    os.unlink(f"{path}{suffix}")
+                except OSError:
+                    pass
+            return SqliteIndexBackend(path)
 
     def _ensure_index(self, create: bool = False):
         if self._index is not None:
@@ -493,14 +334,11 @@ class ResultCache:
                 return None
             self.directory.mkdir(parents=True, exist_ok=True)
         self._index = self._open_index()
-        needs_migration = next(iter(self.backend.legacy_files()), None)
-        needs_rebuild = (self._index.count() == 0
-                         and next(self.backend.scan(), None) is not None)
-        if needs_migration or needs_rebuild:
-            # Another process may be doing the same adoption/rebuild over
-            # the same files: serialise, then re-check under the lock.
+        if (self._index.count() == 0
+                and next(self.backend.scan(), None) is not None):
+            # Another process may be doing the same rebuild over the
+            # same files: serialise, then re-check under the lock.
             with self._maintenance_lock():
-                self._migrate_legacy()
                 if self._index.count() == 0:
                     # Lost/blank index over existing shards: rebuild from
                     # disk (the files are the truth, the index never is).
@@ -509,21 +347,6 @@ class ResultCache:
                     if rebuilt:
                         self._index.replace_all(rebuilt)
         return self._index
-
-    def _migrate_legacy(self) -> None:
-        """Adopt pre-sharding flat-layout entries (one-shot per open)."""
-        now = time.time()
-        for path in list(self.backend.legacy_files()):
-            key = path.stem
-            target = self.backend.path_for(key)
-            try:
-                size = path.stat().st_size
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-            except OSError:
-                continue
-            self._index.upsert(IndexEntry(key, size, now, now))
-            self.migrated += 1
 
     def close(self) -> None:
         """Release the index handle (safe to call repeatedly)."""
@@ -542,8 +365,6 @@ class ResultCache:
     def _read_payload(self, key: str) -> Tuple[Optional[Any], int]:
         """(decoded payload, size) for ``key``; quarantines and counts
         undecodable entries.  ``(None, 0)`` means miss."""
-        # Opening the index first also adopts any legacy flat-layout
-        # entries into their shards, so the read below can see them.
         index = self._ensure_index()
         data = self.backend.read(key)
         if data is None:
@@ -748,7 +569,6 @@ class ResultCache:
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
             "evictions": self.evictions,
             "corrupt": self.corrupt,
-            "migrated": self.migrated,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
         }

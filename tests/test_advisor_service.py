@@ -6,19 +6,23 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.analysis import measure_recovery_fraction
 from repro.core.advisor import encode_choice
 from repro.testbed import advisor_service
 from repro.testbed.advisor_service import (
     AdvisorClient,
     AdvisorMemo,
     ServiceRequest,
+    build_scenario,
     evaluate_request,
     policy_from_name,
 )
-from repro.testbed.cache import ResultCache
+from repro.testbed.cache import QUARANTINE_DIR, ResultCache
+from repro.video import CodecConfig, encode_sequence, generate_clip
 from repro.testbed.netproto import Backoff, NetClient
 from repro.testbed.server import AdvisorServer, ServerThread
 
@@ -121,22 +125,26 @@ class TestServiceRequest:
             policy_from_name("I+lots%P")
 
 
+def _payload(delay_ms=2.5):
+    return {"target_psnr_db": 19.0, "satisfied": True,
+            "recommended": "I(AES256)",
+            "sweep": {"I(AES256)": {
+                "delay_ms": delay_ms, "waiting_ms": 1.0,
+                "receiver_psnr_db": 30.0,
+                "eavesdropper_psnr_db": 6.0,
+                "eavesdropper_mos": 1.0}}}
+
+
 class TestAdvisorMemo:
-    def _memo(self, tmp_path):
-        return AdvisorMemo(ResultCache(tmp_path / "memo"))
+    def _memo(self, tmp_path, **cache_kwargs):
+        return AdvisorMemo(ResultCache(tmp_path / "memo", **cache_kwargs))
 
     def test_roundtrip_and_counters(self, tmp_path):
         memo = self._memo(tmp_path)
         request = ServiceRequest(**TINY)
         key = memo.key(request)
         assert memo.get(key) is None
-        payload = {"target_psnr_db": 19.0, "satisfied": True,
-                   "recommended": "I(AES256)",
-                   "sweep": {"I(AES256)": {
-                       "delay_ms": 2.5, "waiting_ms": 1.0,
-                       "receiver_psnr_db": 30.0,
-                       "eavesdropper_psnr_db": 6.0,
-                       "eavesdropper_mos": 1.0}}}
+        payload = _payload()
         memo.put(key, request, payload)
         assert memo.get(key) == payload
         assert (memo.hits, memo.misses) == (1, 1)
@@ -150,6 +158,32 @@ class TestAdvisorMemo:
         memo.cache.backend.write(key, json.dumps(
             {"meta": {"service": "experiment"}, "runs": []}).encode())
         assert memo.get(key) is None
+        memo.cache.close()
+
+    def test_hot_answer_survives_a_capped_cache(self, tmp_path):
+        """Memo hits refresh the LRU stamp, so under a cap the answer
+        read most recently is not the one evicted."""
+        memo = self._memo(tmp_path, max_entries=2)
+        requests = [ServiceRequest(seed=seed, **TINY) for seed in (1, 2, 3)]
+        hot, cold, new = (memo.key(request) for request in requests)
+        memo.put(hot, requests[0], _payload(1.0))
+        memo.put(cold, requests[1], _payload(2.0))
+        for _ in range(50):
+            assert memo.get(hot) is not None
+        memo.put(new, requests[2], _payload(3.0))
+        assert memo.get(hot) == _payload(1.0)
+        assert memo.get(cold) is None
+        assert memo.cache.evictions == 1
+        memo.cache.close()
+
+    def test_undecodable_entry_is_quarantined(self, tmp_path):
+        memo = self._memo(tmp_path)
+        key = "c" * 64
+        memo.cache.backend.write(key, b"{not json")
+        assert memo.get(key) is None
+        assert (memo.hits, memo.misses) == (0, 1)
+        assert memo.cache.corrupt == 1
+        assert (tmp_path / "memo" / QUARANTINE_DIR / f"{key}.json").is_file()
         memo.cache.close()
 
     def test_key_depends_on_code_fingerprint(self, tmp_path, monkeypatch):
@@ -166,6 +200,43 @@ class TestAdvisorMemo:
         assert memo.key(ServiceRequest(ap="ap-1", **TINY)) == \
             memo.key(ServiceRequest(ap="ap-2", **TINY))
         memo.cache.close()
+
+
+class TestBuildScenario:
+    def test_recovery_calibrated_on_the_priced_bitstream(self):
+        """A q=16 request calibrates recovery on the q=16 bitstream it
+        prices, not on a q=8 re-encode of the clip."""
+        request = ServiceRequest(motion="medium", quantizer=16, **TINY)
+        clip = generate_clip(request.motion, request.frames,
+                             seed=request.seed)
+        scenario = build_scenario(request)
+        recovery = {
+            quantizer: measure_recovery_fraction(
+                clip,
+                encode_sequence(clip, CodecConfig(gop_size=request.gop,
+                                                  quantizer=quantizer)),
+                sensitivity_fraction=scenario.sensitivity_fraction)
+            for quantizer in (8, 16)
+        }
+        assert recovery[16] != recovery[8]
+        assert scenario.recovery_fraction == recovery[16]
+
+    def test_fingerprint_covers_the_scenario_pipeline(self, monkeypatch):
+        """Editing ``build_scenario`` must invalidate memoized answers."""
+        read = []
+        real_read_bytes = Path.read_bytes
+
+        def recording_read_bytes(path):
+            read.append(path)
+            return real_read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", recording_read_bytes)
+        advisor_service.advisor_fingerprint.cache_clear()
+        try:
+            advisor_service.advisor_fingerprint()
+        finally:
+            advisor_service.advisor_fingerprint.cache_clear()
+        assert Path(advisor_service.__file__) in read
 
 
 @pytest.fixture(scope="module")

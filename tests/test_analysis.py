@@ -14,6 +14,7 @@ from repro.analysis import (
     render_table,
     summarize,
 )
+from repro.video import CodecConfig, encode_sequence
 
 
 class TestReferenceDistanceCurve:
@@ -70,17 +71,19 @@ class TestBlankDistortion:
 
 
 class TestRecoveryFraction:
-    def test_slow_near_one_fast_near_zero(self, slow_clip, fast_clip):
+    def test_slow_near_one_fast_near_zero(self, slow_clip, slow_bitstream,
+                                          fast_clip, fast_bitstream):
         """The central calibration asymmetry (Section 6.2 reproduced)."""
-        slow = measure_recovery_fraction(slow_clip, gop_size=30,
+        slow = measure_recovery_fraction(slow_clip, slow_bitstream,
                                          sensitivity_fraction=0.55)
-        fast = measure_recovery_fraction(fast_clip, gop_size=30,
+        fast = measure_recovery_fraction(fast_clip, fast_bitstream,
                                          sensitivity_fraction=0.9)
         assert slow > 0.5
         assert fast < 0.1
 
     def test_bounded(self, medium_clip):
-        value = measure_recovery_fraction(medium_clip)
+        value = measure_recovery_fraction(
+            medium_clip, encode_sequence(medium_clip, CodecConfig()))
         assert 0.0 <= value <= 1.0
 
 

@@ -1,5 +1,5 @@
-"""Pluggable cache backends: sqlite store, spec parsing, file locks,
-and concurrent-maintenance safety."""
+"""Pluggable cache backends: spec parsing, file locks, and
+concurrent-maintenance safety."""
 
 import json
 import os
@@ -13,7 +13,6 @@ from repro.testbed import (
     LockTimeout,
     ResultCache,
     RunMetrics,
-    SqliteBackend,
 )
 from repro.testbed.backends import (
     DirectoryBackend,
@@ -41,86 +40,37 @@ class TestSpecParsing:
         assert isinstance(backend, DirectoryBackend)
         assert backend.name == "dir"
 
-    def test_sqlite_spec(self, tmp_path):
-        backend = parse_backend_spec(f"sqlite:{tmp_path / 'c.sqlite'}")
-        assert isinstance(backend, SqliteBackend)
-        assert backend.name == "sqlite"
-        assert backend.index_capable
-        backend.close()
-
     def test_unknown_scheme_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="backend"):
             parse_backend_spec(f"redis:{tmp_path}")
 
     def test_env_selection(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
-        backend = backend_from_env(tmp_path / "c")
-        assert isinstance(backend, SqliteBackend)
-        backend.close()
         monkeypatch.setenv("REPRO_CACHE_BACKEND", "dir")
         assert isinstance(backend_from_env(tmp_path / "c2"),
                           DirectoryBackend)
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", f"dir:{tmp_path / 'c3'}")
+        assert backend_from_env(tmp_path / "c").root == tmp_path / "c3"
         monkeypatch.delenv("REPRO_CACHE_BACKEND")
-        assert isinstance(backend_from_env(tmp_path / "c3"),
+        assert isinstance(backend_from_env(tmp_path / "c4"),
                           DirectoryBackend)
 
+    @pytest.mark.parametrize("spec", ["sqlite:{tmp}/c.sqlite",
+                                      "sqlite:///{tmp}/c.sqlite",
+                                      "file:{tmp}/c"],
+                             ids=["sqlite", "sqlite-url", "file"])
+    def test_other_schemes_name_the_supported_specs(self, tmp_path, spec):
+        with pytest.raises(ValueError) as raised:
+            parse_backend_spec(spec.format(tmp=tmp_path))
+        for supported in ("dir:", "tcp:", "bare directory path"):
+            assert supported in str(raised.value)
+        assert not any(tmp_path.iterdir())  # nothing was created
 
-class TestSqliteBackend:
-    def test_cache_round_trip(self, tmp_path):
-        cache = ResultCache.from_spec(f"sqlite:{tmp_path / 'c.sqlite'}")
-        cache.put_runs(_key("a"), RUNS, meta={"cell": 1})
-        assert cache.get_runs(_key("a")) == RUNS
-        assert cache.stats()["backend"] == "sqlite"
-        assert cache.stats()["entries"] == 1
-        cache.close()
-        # reopening sees the same data (lazy reconnect after close)
-        assert cache.get_runs(_key("a")) == RUNS
-        cache.close()
-
-    def test_single_file_on_disk(self, tmp_path):
-        cache = ResultCache.from_spec(f"sqlite:{tmp_path / 'c.sqlite'}")
-        cache.put_runs(_key("a"), RUNS)
-        cache.close()
-        names = {p.name for p in tmp_path.iterdir()}
-        assert "c.sqlite" in names
-        # no per-entry shard directories, unlike the dir backend
-        assert not any((tmp_path / n).is_dir() for n in names)
-
-    def test_concurrent_second_opener(self, tmp_path):
-        path = tmp_path / "c.sqlite"
-        first = ResultCache.from_spec(f"sqlite:{path}")
-        second = ResultCache.from_spec(f"sqlite:{path}")
-        first.put_runs(_key("a"), RUNS)
-        second.put_runs(_key("b"), RUNS)
-        assert first.get_runs(_key("b")) == RUNS
-        assert second.get_runs(_key("a")) == RUNS
-        first.close()
-        second.close()
-
-    def test_verify_quarantines_corrupt_row(self, tmp_path):
-        cache = ResultCache.from_spec(f"sqlite:{tmp_path / 'c.sqlite'}")
-        cache.put_runs(_key("a"), RUNS)
-        cache.backend.write(_key("b"), b"{not json")
-        report = cache.verify()
-        assert report["corrupt"] == 1
-        assert cache.get_runs(_key("b")) is None
-        assert cache.get_runs(_key("a")) == RUNS
-        cache.close()
-
-    def test_gc_enforces_caps(self, tmp_path):
-        cache = ResultCache.from_spec(f"sqlite:{tmp_path / 'c.sqlite'}",
-                                      max_entries=2)
-        for letter in "abcd":
-            cache.put_runs(_key(letter), RUNS)
-            time.sleep(0.01)
-        cache.gc()
-        assert cache.stats()["entries"] == 2
-        cache.close()
-
-    def test_forced_external_index_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="index"):
-            ResultCache.from_spec(f"sqlite:{tmp_path / 'c.sqlite'}",
-                                  index="jsonl")
+    def test_env_unknown_backend_name_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "sqlite")
+        with pytest.raises(ValueError, match="REPRO_CACHE_BACKEND") as raised:
+            backend_from_env(tmp_path / "c")
+        for supported in ("dir:", "tcp:", "bare directory path"):
+            assert supported in str(raised.value)
 
 
 class TestFileLock:

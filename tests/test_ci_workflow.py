@@ -104,6 +104,15 @@ class TestCommands:
         assert any("-m \"not slow\"" in line or "-m 'not slow'" in line
                    for line in runs)
 
+    def test_tier1_reports_slowest_tests(self, workflow):
+        """Every tier-1 log lists its slowest tests, so an accidental
+        real-time wait shows up in review instead of hiding in the
+        total."""
+        pytest_lines = [line for line in _run_lines(workflow, "tier-1")
+                        if "python -m pytest" in line]
+        assert pytest_lines
+        assert all("--durations=10" in line for line in pytest_lines)
+
     def test_tier2_runs_full_suite(self, workflow):
         assert "python -m pytest -x -q" in _run_lines(workflow, "tier-2")
 

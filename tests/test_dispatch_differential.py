@@ -4,8 +4,6 @@ duplicate simulations, and survive worker death mid-lease."""
 
 import json
 import multiprocessing
-import os
-import time
 
 import pytest
 
@@ -159,9 +157,12 @@ class TestFaultInjection:
         # a worker claims one cell and dies without completing it
         dead_task = queue.claim()
         assert dead_task is not None
+        # its lease has since expired: expiry reads the heartbeat stamped
+        # in the lease payload, so that is what gets backdated
         lease = queue.path / "leases" / f"{dead_task.key}.json"
-        old = time.time() - 120.0
-        os.utime(lease, (old, old))  # its lease has since expired
+        payload = json.loads(lease.read_text())
+        payload["renewed_at"] -= 120.0
+        lease.write_text(json.dumps(payload))
 
         report = run_worker(queue)  # the surviving worker
         assert report.failed == 0

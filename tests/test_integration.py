@@ -35,8 +35,7 @@ def _build_model(clip, bitstream, sensitivity):
     curve = measure_reference_distance_distortion(clip, max_distance=30)
     poly = fit_distortion_polynomial(curve, cap=blank_frame_distortion(clip))
     recovery = measure_recovery_fraction(
-        clip, gop_size=bitstream.gop_layout.gop_size,
-        sensitivity_fraction=sensitivity,
+        clip, bitstream, sensitivity_fraction=sensitivity,
     )
     baseline = sequence_mse(clip, decode_bitstream(bitstream))
     scenario = calibrate_scenario(
