@@ -1,5 +1,6 @@
 """Sharded result cache: layout, corruption handling, eviction, the
-sqlite index and its recovery, and crash-safe maintenance."""
+sqlite index and its recovery (also over directories that still hold the
+JSON-lines index of older releases), and crash-safe maintenance."""
 
 import hashlib
 import json
@@ -19,9 +20,34 @@ def make_runs(value: float = 1.0):
                        average_power_w=3.0, receiver_psnr_db=38.5)]
 
 
+STALE_KEY = make_key("indexed-only-by-an-older-release")
+
+
+def open_cache(directory, index_kind, **kwargs) -> ResultCache:
+    """Open a cache over ``directory`` as ``index_kind`` left it.
+
+    ``"sqlite"`` is the one index the cache keeps.  ``"jsonl"`` is a
+    directory from a release that indexed it in JSON lines: a stale
+    ``index.jsonl`` sits beside the shards, naming an entry whose file is
+    gone.  The cache must neither read nor count it, so every test that
+    takes ``index_kind`` holds for both.
+    """
+    if index_kind == "jsonl":
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "index.jsonl").write_text(json.dumps(
+            {"op": "put", "key": STALE_KEY, "size": 4096,
+             "created": 0.0, "accessed": 0.0}) + "\n")
+    return ResultCache(directory, **kwargs)
+
+
+@pytest.fixture(params=["sqlite", "jsonl"])
+def index_kind(request):
+    return request.param
+
+
 @pytest.fixture()
-def cache(tmp_path):
-    cache = ResultCache(tmp_path)
+def cache(tmp_path, index_kind):
+    cache = open_cache(tmp_path, index_kind)
     yield cache
     cache.close()
 
@@ -122,8 +148,9 @@ class TestOrphanTempFiles:
         assert len(cache) == 1
         assert cache.stats()["entries"] == 1
 
-    def test_gc_sweeps_stale_orphans(self, tmp_path):
-        with ResultCache(tmp_path, stale_tmp_seconds=0.0) as cache:
+    def test_gc_sweeps_stale_orphans(self, tmp_path, index_kind):
+        with open_cache(tmp_path, index_kind,
+                        stale_tmp_seconds=0.0) as cache:
             key = self._plant_orphans(cache, tmp_path)
             report = cache.gc()
             assert report["tmp_removed"] == 2
@@ -132,8 +159,9 @@ class TestOrphanTempFiles:
             assert not (tmp_path / key[:2] / ".tmp-crashed2.json").exists()
             assert cache.get_runs(key) == make_runs()
 
-    def test_gc_spares_fresh_temp_files(self, tmp_path):
-        with ResultCache(tmp_path, stale_tmp_seconds=3600.0) as cache:
+    def test_gc_spares_fresh_temp_files(self, tmp_path, index_kind):
+        with open_cache(tmp_path, index_kind,
+                        stale_tmp_seconds=3600.0) as cache:
             self._plant_orphans(cache, tmp_path)
             assert cache.gc()["tmp_removed"] == 0
             assert (tmp_path / ".tmp-crashed1.json").exists()
@@ -147,8 +175,9 @@ class TestOrphanTempFiles:
 
 
 class TestEviction:
-    def test_max_entries_evicts_least_recently_used(self, tmp_path):
-        with ResultCache(tmp_path, max_entries=2) as cache:
+    def test_max_entries_evicts_least_recently_used(self, tmp_path,
+                                                    index_kind):
+        with open_cache(tmp_path, index_kind, max_entries=2) as cache:
             k1, k2, k3 = (make_key(i) for i in range(3))
             cache.put_runs(k1, make_runs(1.0))
             cache.put_runs(k2, make_runs(2.0))
@@ -161,32 +190,34 @@ class TestEviction:
             assert cache.get_runs(k3) is not None
             assert not cache.backend.path_for(k2).exists()
 
-    def test_max_bytes_respected(self, tmp_path):
-        probe = ResultCache(tmp_path / "probe")
+    def test_max_bytes_respected(self, tmp_path, index_kind):
+        probe = open_cache(tmp_path / "probe", index_kind)
         probe.put_runs(make_key("probe"), make_runs())
         entry_size = probe.total_bytes()
         probe.close()
 
-        with ResultCache(tmp_path / "real",
-                         max_bytes=int(entry_size * 2.5)) as cache:
+        with open_cache(tmp_path / "real", index_kind,
+                        max_bytes=int(entry_size * 2.5)) as cache:
             for i in range(4):
                 cache.put_runs(make_key(i), make_runs())
             assert cache.evictions == 2
             assert len(cache) == 2
             assert cache.total_bytes() <= cache.max_bytes
 
-    def test_newest_entry_never_evicted_by_its_own_put(self, tmp_path):
-        with ResultCache(tmp_path, max_entries=1) as cache:
+    def test_newest_entry_never_evicted_by_its_own_put(self, tmp_path,
+                                                       index_kind):
+        with open_cache(tmp_path, index_kind, max_entries=1) as cache:
             for i in range(3):
                 cache.put_runs(make_key(i), make_runs(float(i)))
                 assert cache.get_runs(make_key(i)) is not None
             assert len(cache) == 1
 
-    def test_gc_enforces_caps_on_existing_directory(self, tmp_path):
-        with ResultCache(tmp_path) as cache:
+    def test_gc_enforces_caps_on_existing_directory(self, tmp_path,
+                                                    index_kind):
+        with open_cache(tmp_path, index_kind) as cache:
             for i in range(6):
                 cache.put_runs(make_key(i), make_runs())
-        with ResultCache(tmp_path, max_entries=2) as capped:
+        with open_cache(tmp_path, index_kind, max_entries=2) as capped:
             report = capped.gc()
             assert report["evicted"] == 4
             assert report["entries"] == 2
@@ -200,13 +231,14 @@ class TestEviction:
 
 
 class TestIndexRebuild:
-    def test_lost_index_rebuilt_from_shards(self, tmp_path):
-        with ResultCache(tmp_path) as cache:
+    def test_lost_index_rebuilt_from_shards(self, tmp_path, index_kind):
+        with open_cache(tmp_path, index_kind) as cache:
             for i in range(3):
                 cache.put_runs(make_key(i), make_runs())
         for path in list(tmp_path.glob("index.*")):
             path.unlink()
-        with ResultCache(tmp_path) as reopened:
+        # for "jsonl", an older release's index is all that is left
+        with open_cache(tmp_path, index_kind) as reopened:
             assert len(reopened) == 3
             assert reopened.total_bytes() > 0
             assert reopened.get_runs(make_key(1)) is not None
@@ -273,8 +305,10 @@ class TestClear:
         assert list((tmp_path / QUARANTINE_DIR).glob("*")) == []
         assert cache.get_runs(make_key(1)) is None
 
-    def test_clear_on_missing_directory(self, tmp_path):
-        cache = ResultCache(tmp_path / "never-created")
+    def test_clear_on_missing_directory(self, tmp_path, index_kind):
+        """For "jsonl" the directory exists but holds only the stale
+        index of an older release: no entries, as if it were missing."""
+        cache = open_cache(tmp_path / "never-created", index_kind)
         assert cache.clear() == 0
         assert len(cache) == 0
         assert cache.stats()["entries"] == 0
