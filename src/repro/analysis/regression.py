@@ -10,6 +10,19 @@ each distance ``d`` it measures the mean square error of displaying frame
 ``i - d`` in place of frame ``i`` across the clip, then least-squares fits
 a degree-5 polynomial.  The resulting :class:`DistortionPolynomial` feeds
 the distortion model's Case 1 and Case 2.
+
+The curve comes from one Gram matrix ``G = X @ X.T`` over the flattened
+float64 lumas ``X``: the squared distance between frames ``i`` and ``j``
+is ``G[i, i] + G[j, j] - 2 * G[i, j]``.  Lumas are integers in
+[0, 255], so every product, every partial sum and every ``G`` entry is
+an integer far below 2**53 (a CIF frame's squared norm is under 2**33):
+a float64 holds each exactly, whatever order BLAS adds them in.  Each
+per-frame squared error is therefore the same exact integer the
+elementwise ``(a - b) ** 2`` sum gives, so the curve is unchanged bit
+for bit while the work drops from ``max_distance`` full-clip passes to
+one matrix product.  The blank-frame distortion is exact for the same
+reason: a histogram of the uint8 lumas gives the integer squared-error
+total in one pass.
 """
 
 from __future__ import annotations
@@ -63,27 +76,51 @@ def measure_reference_distance_distortion(
             f"clip too short ({len(sequence)} frames) for distance"
             f" {max_distance}"
         )
-    lumas = sequence.luma_stack().astype(np.float64)
-    distances = []
+    gram = _luma_gram(sequence)
+    energy = np.diag(gram)
+    pixels = sequence.width * sequence.height
+    distances = tuple(range(1, max_distance + 1))
     means = []
-    for distance in range(1, max_distance + 1):
-        # Compare frame i with frame i - distance.
-        current = lumas[distance:]
-        reference = lumas[:-distance]
-        step_mse = np.mean((current[::frame_stride] - reference[::frame_stride]) ** 2,
-                           axis=(1, 2))
-        distances.append(distance)
-        means.append(float(np.mean(step_mse)))
-    return ReferenceDistanceCurve(tuple(distances), tuple(means))
+    for distance in distances:
+        # Compare frame i with frame i - distance, every frame_stride-th i.
+        current = np.arange(distance, len(sequence), frame_stride)
+        reference = current - distance
+        ssd = (energy[current] + energy[reference]
+               - 2.0 * gram[current, reference])
+        means.append(float(np.mean(ssd / pixels)))
+    return ReferenceDistanceCurve(distances, tuple(means))
+
+
+#: Columns of the flattened luma stack per Gram-matrix block: bounds the
+#: float64 working copy to a few MB whatever the clip length.
+_GRAM_BLOCK = 8192
+
+
+def _luma_gram(sequence: Sequence420) -> np.ndarray:
+    """``X @ X.T`` for the (frames, pixels) float64 luma matrix ``X``,
+    accumulated over column blocks.  Every entry is an exact integer (see
+    the module docstring), so the blocking does not change a bit."""
+    flat = sequence.luma_stack().reshape(len(sequence), -1)
+    gram = np.zeros((len(sequence), len(sequence)))
+    for start in range(0, flat.shape[1], _GRAM_BLOCK):
+        block = flat[:, start:start + _GRAM_BLOCK].astype(np.float64)
+        gram += block @ block.T
+    return gram
 
 
 def blank_frame_distortion(sequence: Sequence420) -> float:
     """Mean MSE of showing a blank frame instead of the content (Case 3's
-    ceiling, and the polynomial's saturation cap)."""
-    blank = Frame.blank(sequence.width, sequence.height)
-    blank_luma = blank.y.astype(np.float64)
-    lumas = sequence.luma_stack().astype(np.float64)
-    return float(np.mean((lumas - blank_luma) ** 2))
+    ceiling, and the polynomial's saturation cap).
+
+    Computed exactly in integers from a luma histogram, then divided
+    once: the same float as the float64 mean over the clip."""
+    level = int(Frame.blank(sequence.width, sequence.height).y[0, 0])
+    counts = np.zeros(256, dtype=np.int64)
+    for frame in sequence:
+        counts += np.bincount(frame.y.ravel(), minlength=256)
+    offsets = np.arange(256, dtype=np.int64) - level
+    total = int(counts @ (offsets * offsets))
+    return float(total) / int(counts.sum())
 
 
 def measure_recovery_fraction(
@@ -114,11 +151,11 @@ def measure_recovery_fraction(
     decodable = frames_decodable(packets, usable, sensitivity_fraction)
     result = conceal_decode(bitstream, decodable, mode="best_effort")
 
-    lumas = sequence.luma_stack().astype(np.float64)
     errors = []
     for record, frame in zip(result.frames, result.sequence):
         if record.decoded:
-            diff = lumas[record.index] - frame.y.astype(np.float64)
+            diff = (sequence[record.index].y.astype(np.float64)
+                    - frame.y.astype(np.float64))
             errors.append(float(np.mean(diff * diff)))
     if not errors:
         return 1.0

@@ -85,28 +85,34 @@ def _estimate_global_motion(current: np.ndarray,
     """Global-pan motion estimation: the cheap core of H.264's motion
     compensation, enough to cancel camera pans.
 
-    Searches integer (dy, dx) shifts on a subsampled grid, minimising
-    the sum of absolute differences.  Chroma planes are half resolution
-    and roll by floor(d/2): exact for even shifts, half-sample off for
-    odd ones (invisible on 4:2:0 chroma).  Shifts wrap (np.roll),
-    matching the toroidal synthetic scenes; for real content a wrapped
-    edge strip simply stays in the residual.
+    Scores every integer shift (dy, dx) within the search range by the
+    sum of absolute differences between ``current`` and the shifted
+    reference on the 4x4-subsampled grid, and returns the cheapest.
+    Shifts wrap like ``np.roll`` (matching the toroidal synthetic
+    scenes; for real content a wrapped edge strip simply stays in the
+    residual), but no shifted frame is ever built.  The search is row
+    then column: for each dy, one index gather takes the subsampled
+    rows of the row-shifted reference, and one column gather per dx
+    turns that copy into the dx candidates, filling a (dy, dx) table of
+    integer SADs.  Ties go to the first minimum in (dy, dx) row-major
+    order (``np.argmin`` over the table), so a featureless frame gives
+    (-range, -range).  Chroma planes are half resolution and roll by
+    floor(d/2): exact for even shifts, half-sample off for odd ones
+    (invisible on 4:2:0 chroma).
     """
-    best = (0, 0)
-    current_coarse = current[::4, ::4].astype(np.int16)
-    best_cost = None
-    r = _MOTION_SEARCH_RANGE
-    for dy in range(-r, r + 1):
-        rolled_rows = np.roll(reference, dy, axis=0)
-        for dx in range(-r, r + 1):
-            candidate = np.roll(rolled_rows, dx, axis=1)
-            cost = float(np.mean(np.abs(
-                current_coarse - candidate[::4, ::4].astype(np.int16)
-            )))
-            if best_cost is None or cost < best_cost - 1e-9:
-                best_cost = cost
-                best = (dy, dx)
-    return best
+    height, width = reference.shape
+    shifts = np.arange(-_MOTION_SEARCH_RANGE, _MOTION_SEARCH_RANGE + 1)
+    rows = np.arange(0, height, 4)
+    # column_index[k] samples the reference rolled right by shifts[k]
+    column_index = (np.arange(0, width, 4) - shifts[:, None]) % width
+    current_coarse = current[::4, ::4].astype(np.int16)[:, None, :]
+    costs = np.empty((shifts.size, shifts.size), dtype=np.int64)
+    for row, dy in enumerate(shifts):
+        shifted_rows = reference[(rows - dy) % height]
+        candidates = shifted_rows[:, column_index].astype(np.int16)
+        costs[row] = np.abs(candidates - current_coarse).sum(axis=(0, 2))
+    row, column = np.unravel_index(np.argmin(costs), costs.shape)
+    return int(shifts[row]), int(shifts[column])
 
 
 def _shift_frame(frame: Frame, dy: int, dx: int) -> Frame:

@@ -154,6 +154,14 @@ class TestCommands:
         assert any("bench_advisor_sweep.py --smoke" in line
                    for line in runs)
 
+    def test_tier1_runs_e2e_smoke(self, workflow):
+        """The PR job must also run every end-to-end workload once on
+        toy sizes, untraced and traced: the traced run resolves every
+        patched layer site first, so renaming a function the benchmark
+        spans fails the PR instead of silently dropping a layer."""
+        runs = _run_lines(workflow, "tier-1")
+        assert "python benchmarks/e2e/run.py --smoke" in runs
+
     def test_bench_gate_checks_trend(self, workflow):
         runs = _run_lines(workflow, "bench-gate")
         assert any("crypto_microbench.py" in line for line in runs)

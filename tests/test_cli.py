@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.testbed import ResultCache, RunMetrics
+from repro.testbed.netproto import Backoff
 
 
 class TestParser:
@@ -131,13 +132,20 @@ class TestAdviseServeArgs:
             main(["advise", "--frames", "12", "--gop", "6",
                   "--server", "udp:somewhere"])
 
-    def test_advise_unreachable_server_fails_cleanly(self, capsys):
+    def test_advise_unreachable_server_fails_cleanly(self, capsys,
+                                                      monkeypatch):
         # A closed port: the client retries transport errors, then the
         # CLI reports the failure with exit 1 instead of a traceback.
+        # The retries run at zero delay, so the test does not wait out
+        # the real backoff schedule (several seconds).
+        delays = []
+        monkeypatch.setattr(Backoff, "next_delay",
+                            lambda self: delays.append(0.0) or 0.0)
         code = main(["advise", "--frames", "12", "--gop", "6",
                      "--server", "tcp:127.0.0.1:9"])
         assert code == 1
         assert "advise:" in capsys.readouterr().out
+        assert delays  # the client did retry before giving up
 
     def test_advise_explicit_policies_subset(self, capsys):
         code = main(["advise", "--frames", "12", "--gop", "6",
